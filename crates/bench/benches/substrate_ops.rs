@@ -1,15 +1,18 @@
 //! Micro-benchmarks of the numeric substrate: the custom tensor ops the
 //! causality-aware transformer is built from, a full forward+backward pass,
 //! and an optimizer step. These are the per-step kernels behind every
-//! experiment in the paper.
+//! experiment in the paper. The `substrate/store` group times the
+//! out-of-core chunk path: the CRC and a full chunk read.
 
 use causalformer::{CausalityAwareTransformer, ModelConfig};
 use cf_nn::{Adam, Optimizer, ParamStore};
+use cf_store::{MemStorage, SeriesStore, SeriesWriter, Storage};
 use cf_tensor::{ops, uniform, Tape, Tensor};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn rand_t(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -102,12 +105,47 @@ fn bench_adam(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 10×65536 Lorenz-96 chunk (5.2 MB of samples, the default
+/// `--chunk-len`), stored under `codec` in memory.
+fn lorenz_chunk_store(codec: &str) -> (Arc<MemStorage>, SeriesStore) {
+    let (n, len) = (10, 65536);
+    let mut rng = StdRng::seed_from_u64(11);
+    let series = cf_data::lorenz96::generate_random_forcing(&mut rng, n, len).series;
+    let storage = Arc::new(MemStorage::new());
+    let mut w = SeriesWriter::new(storage.clone(), n, n, len, codec).unwrap();
+    let data = series.data();
+    for t in 0..len {
+        let sample: Vec<f64> = (0..n).map(|i| data[i * len + t]).collect();
+        w.append(&sample).unwrap();
+    }
+    w.finish().unwrap();
+    let store = SeriesStore::open(storage.clone()).unwrap();
+    (storage, store)
+}
+
+fn bench_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("substrate/store");
+    group.sample_size(20);
+    for codec in ["delta-varint", "raw"] {
+        let (storage, store) = lorenz_chunk_store(codec);
+        let chunk = storage.get(&cf_store::series::chunk_key(0, 0)).unwrap();
+        group.bench_function(format!("crc32_{codec}"), |b| {
+            b.iter(|| cf_store::crc32(black_box(&chunk)))
+        });
+        group.bench_function(format!("read_chunk_{codec}"), |b| {
+            b.iter(|| black_box(store.read_chunk(0, 0).unwrap()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_causal_conv,
     bench_attention,
     bench_matmul_softmax,
     bench_model_step,
-    bench_adam
+    bench_adam,
+    bench_store
 );
 criterion_main!(benches);

@@ -21,6 +21,12 @@
 //! The named pipelines are `"raw"` (no stages), `"delta"` (`DeltaXor`),
 //! and `"delta-varint"` (`DeltaXor` then `Varint`). The pipeline name is
 //! recorded in the store manifest, so readers never guess.
+//!
+//! [`Pipeline::encode`] and [`Pipeline::decode`] run the stages one after
+//! another over whole byte buffers; they are the reference. The chunk
+//! store uses fused forms instead, which run every stage per word in one
+//! loop, so a chunk costs no intermediate buffer on either side. Tests
+//! pin the fused forms to the reference, byte for byte.
 
 use crate::StoreError;
 
@@ -37,35 +43,26 @@ pub enum Codec {
 
 impl Codec {
     fn encode(self, bytes: &[u8]) -> Result<Vec<u8>, StoreError> {
-        match self {
+        let words = as_words(bytes)?;
+        Ok(match self {
             Codec::DeltaXor => {
-                let words = as_words(bytes)?;
                 let mut out = Vec::with_capacity(bytes.len());
                 let mut prev = 0u64;
                 for w in words {
                     out.extend_from_slice(&(w ^ prev).to_le_bytes());
                     prev = w;
                 }
-                Ok(out)
+                out
             }
             Codec::Varint => {
-                let words = as_words(bytes)?;
                 // Worst case 10 bytes per word; typical (post-delta) far less.
                 let mut out = Vec::with_capacity(bytes.len() / 2);
-                for mut w in words {
-                    loop {
-                        let byte = (w & 0x7F) as u8;
-                        w >>= 7;
-                        if w == 0 {
-                            out.push(byte);
-                            break;
-                        }
-                        out.push(byte | 0x80);
-                    }
+                for w in words {
+                    put_varint(&mut out, w);
                 }
-                Ok(out)
+                out
             }
-        }
+        })
     }
 
     fn decode(self, bytes: &[u8]) -> Result<Vec<u8>, StoreError> {
@@ -83,36 +80,53 @@ impl Codec {
             }
             Codec::Varint => {
                 let mut out = Vec::with_capacity(bytes.len() * 2);
-                let mut iter = bytes.iter();
-                loop {
-                    let mut w = 0u64;
-                    let mut shift = 0u32;
-                    let mut started = false;
-                    loop {
-                        let Some(&byte) = iter.next() else {
-                            if started {
-                                return Err(StoreError::Invalid {
-                                    detail: "varint stream ends mid-word".into(),
-                                });
-                            }
-                            return Ok(out);
-                        };
-                        started = true;
-                        if shift >= 64 {
-                            return Err(StoreError::Invalid {
-                                detail: "varint word overflows u64".into(),
-                            });
-                        }
-                        w |= u64::from(byte & 0x7F) << shift;
-                        shift += 7;
-                        if byte & 0x80 == 0 {
-                            break;
-                        }
-                    }
-                    out.extend_from_slice(&w.to_le_bytes());
+                let mut pos = 0;
+                while pos < bytes.len() {
+                    out.extend_from_slice(&take_varint(bytes, &mut pos)?.to_le_bytes());
                 }
+                Ok(out)
             }
         }
+    }
+}
+
+/// Appends `w` as an LEB128 varint (1–10 bytes).
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut w: u64) {
+    while w >= 0x80 {
+        out.push(w as u8 | 0x80);
+        w >>= 7;
+    }
+    out.push(w as u8);
+}
+
+/// Reads one LEB128 varint starting at `bytes[*pos]` and advances `pos`
+/// past it. A word that runs off the end of `bytes`, or whose bits do not
+/// fit a `u64` (a 10th byte above `0x01`, or an 11th byte), is an error.
+#[inline]
+fn take_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
+    let mut w = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let Some(&byte) = bytes.get(*pos) else {
+            return Err(StoreError::Invalid {
+                detail: "varint stream ends mid-word".into(),
+            });
+        };
+        *pos += 1;
+        let bits = u64::from(byte & 0x7F);
+        // Byte 10 carries bit 63 only; anything above it, or a further
+        // continuation, would be silently shifted out.
+        if shift == 63 && (bits > 1 || byte & 0x80 != 0) {
+            return Err(StoreError::Invalid {
+                detail: "varint word overflows u64".into(),
+            });
+        }
+        w |= bits << shift;
+        if byte & 0x80 == 0 {
+            return Ok(w);
+        }
+        shift += 7;
     }
 }
 
@@ -177,6 +191,56 @@ impl Pipeline {
         }
         Ok(cur.unwrap_or_else(|| bytes.to_vec()))
     }
+
+    fn has(&self, stage: Codec) -> bool {
+        self.stages.contains(&stage)
+    }
+
+    /// Encodes `words` through every stage in one loop, appending to `out`.
+    /// Produces exactly the bytes [`Pipeline::encode`] makes from the
+    /// words' little-endian bytes.
+    pub(crate) fn encode_words(&self, words: impl IntoIterator<Item = u64>, out: &mut Vec<u8>) {
+        let (delta, varint) = (self.has(Codec::DeltaXor), self.has(Codec::Varint));
+        let mut prev = 0u64;
+        for w in words {
+            let d = if delta { w ^ prev } else { w };
+            prev = w;
+            if varint {
+                put_varint(out, d);
+            } else {
+                out.extend_from_slice(&d.to_le_bytes());
+            }
+        }
+    }
+
+    /// Decodes an encoded payload in one loop (varint → XOR-undelta →
+    /// `f64::from_bits`), handing each sample to `sink` in order with no
+    /// intermediate buffer. Returns the number of samples. Rejects every
+    /// stream [`Pipeline::decode`] rejects, and any payload that does not
+    /// end on a whole word.
+    pub(crate) fn decode_each(
+        &self,
+        bytes: &[u8],
+        mut sink: impl FnMut(f64),
+    ) -> Result<usize, StoreError> {
+        let delta = self.has(Codec::DeltaXor);
+        let mut prev = 0u64;
+        let mut count = 0;
+        let mut push = |w: u64| {
+            prev = if delta { prev ^ w } else { w };
+            sink(f64::from_bits(prev));
+            count += 1;
+        };
+        if self.has(Codec::Varint) {
+            let mut pos = 0;
+            while pos < bytes.len() {
+                push(take_varint(bytes, &mut pos)?);
+            }
+        } else {
+            as_words(bytes)?.for_each(push);
+        }
+        Ok(count)
+    }
 }
 
 #[cfg(test)]
@@ -185,6 +249,13 @@ mod tests {
 
     fn f64_bytes(vals: &[f64]) -> Vec<u8> {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn decode_f64(p: &Pipeline, bytes: &[u8]) -> Result<Vec<f64>, StoreError> {
+        let mut out = Vec::new();
+        let n = p.decode_each(bytes, |v| out.push(v))?;
+        assert_eq!(n, out.len());
+        Ok(out)
     }
 
     #[test]
@@ -255,5 +326,52 @@ mod tests {
         // 10 continuation bytes push past 64 bits.
         let bad = [0xFFu8; 11];
         assert!(Codec::Varint.decode(&bad).is_err());
+    }
+
+    #[test]
+    fn varint_rejects_tenth_byte_above_bit_63() {
+        let pv = Pipeline::by_name("delta-varint").unwrap();
+        // Nine full bytes carry bits 0..=62; a 10th byte of 0x01 sets bit 63
+        // and is the largest legal word.
+        let mut max = vec![0xFFu8; 9];
+        max.push(0x01);
+        assert_eq!(
+            Codec::Varint.decode(&max).unwrap(),
+            u64::MAX.to_le_bytes().to_vec()
+        );
+        assert_eq!(decode_f64(&pv, &max).unwrap()[0].to_bits(), u64::MAX);
+        // 0x02 in the 10th byte would be bit 64: it must not be dropped.
+        for tenth in [0x02u8, 0x7F, 0x81] {
+            let mut bad = vec![0xFFu8; 9];
+            bad.push(tenth);
+            for err in [
+                Codec::Varint.decode(&bad).unwrap_err(),
+                decode_f64(&pv, &bad).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, StoreError::Invalid { detail } if detail.contains("overflows")),
+                    "10th byte {tenth:#04x}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_paths_match_staged_pipelines() {
+        let mut vals: Vec<f64> = (0..300).map(|i| (i as f64 * 0.013).cos() * 7.5).collect();
+        vals.extend([f64::NAN, -0.0, f64::MAX, f64::MIN_POSITIVE, 0.0]);
+        let bytes = f64_bytes(&vals);
+        for name in ["raw", "delta", "delta-varint"] {
+            let p = Pipeline::by_name(name).unwrap();
+            let staged = p.encode(&bytes).unwrap();
+            let mut fused = Vec::new();
+            p.encode_words(vals.iter().map(|v| v.to_bits()), &mut fused);
+            assert_eq!(fused, staged, "{name} encode");
+            let dec = decode_f64(&p, &staged).unwrap();
+            assert_eq!(f64_bytes(&dec), bytes, "{name} decode");
+            // A payload cut mid-word never decodes to samples.
+            let cut = &staged[..staged.len() - 1];
+            assert!(decode_f64(&p, cut).is_err(), "{name}: truncated payload");
+        }
     }
 }

@@ -11,7 +11,10 @@
 //!   ([`storage::MemStorage`]) backends. [`series::WindowScan`] streams
 //!   standardized training windows chunk-by-chunk under a bounded
 //!   read-ahead buffer, so discovery memory is set by the window budget,
-//!   not the series length.
+//!   not the series length. Chunk fetch, CRC check and decode run
+//!   concurrently on the `cf-par` pool; every numeric fold stays serial
+//!   in scan order, so results are bitwise identical at any thread count
+//!   (see [`series`]).
 //! * [`tensors`] — the `CFTENS1` envelope, a safetensors-style binary
 //!   format for named tensors: a JSON header mapping
 //!   `name → {dtype, shape, offset}` followed by a raw little-endian
@@ -117,10 +120,12 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
-/// compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected) slice-by-8 lookup tables,
+/// built at compile time. `CRC32_TABLES[0]` is the classic bytewise table;
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups advance the register over one 8-byte word.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -133,19 +138,44 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
 /// CRC-32 (IEEE) of `bytes` — the per-chunk integrity check. Like the
 /// checkpoint envelope's FNV-1a this guards against torn writes and bit
-/// rot, not adversaries.
+/// rot, not adversaries. Slice-by-8: the same CRC-32/ISO-HDLC values as
+/// the bytewise algorithm, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -163,6 +193,37 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The textbook bitwise CRC-32/ISO-HDLC, one bit per step: an oracle
+    /// that shares no table with [`crc32`].
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_oracle_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..96u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=67 {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {offset}, len {len}");
+            }
+        }
+        assert_eq!(crc32(&[0xFF; 67]), crc32_bitwise(&[0xFF; 67]));
     }
 
     #[test]

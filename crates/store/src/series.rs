@@ -24,14 +24,28 @@
 //! bounded carry buffer — together they keep both generation and discovery
 //! memory independent of the series length.
 //!
+//! ## Reads
+//!
+//! A streamed discovery reads every chunk three times: two
+//! [`SeriesStore::stats`] passes (sums, then squared deviations) and the
+//! [`WindowScan`] pass. Each pass fetches, CRC-checks and decodes chunks
+//! concurrently on the `cf-par` pool: `stats` in batches of at most
+//! [`cf_par::threads`] chunks, the window scan in batches of the time
+//! blocks its read-ahead allows. Memory is the window scan's carry
+//! (`read_ahead` chunk columns plus one window) plus at most `threads`
+//! chunks in flight. When a batch holds bad chunks, the error returned
+//! names the first one in scan order (ascending `ti`, then `vi`).
+//!
 //! ## Bitwise contract
 //!
-//! Standardization statistics ([`SeriesStore::stats`]) accumulate each
-//! series' sums chunk-by-chunk in ascending time order — the *same
-//! addition order* as the in-RAM pipeline's `row.iter().sum()` — and
-//! windows apply the same `(x - mean) / std` expression per element, so a
-//! streamed window is bitwise identical to one sliced from the fully
-//! materialised, standardized matrix.
+//! Standardization statistics ([`SeriesStore::stats`]) fold each decoded
+//! chunk serially, on the calling thread, in ascending time order — the
+//! *same addition order* as the in-RAM pipeline's `row.iter().sum()` — and
+//! the window scan decodes each chunk into its own disjoint columns of the
+//! carry, which involves no arithmetic. Windows apply the same
+//! `(x - mean) / std` expression per element, so a streamed window is
+//! bitwise identical to one sliced from the fully materialised,
+//! standardized matrix, at any thread count.
 
 use crate::codec::Pipeline;
 use crate::storage::Storage;
@@ -90,21 +104,26 @@ pub fn chunk_key(vi: usize, ti: usize) -> String {
     format!("c{vi:04}_{ti:08}.cfc")
 }
 
+/// Encodes one chunk (header plus payload) into `out`, replacing its
+/// contents. `words` are the row-major sample bit patterns; they run
+/// through the codec in one loop, straight into `out`.
 fn encode_chunk(
-    raw: &[u8],
+    words: impl Iterator<Item = u64>,
     rows: usize,
     cols: usize,
     codec: &Pipeline,
-) -> Result<Vec<u8>, StoreError> {
-    let encoded = codec.encode(raw)?;
-    let mut out = Vec::with_capacity(24 + encoded.len());
+    out: &mut Vec<u8>,
+) {
+    let raw_len = rows * cols * 8;
+    out.clear();
     out.extend_from_slice(CHUNK_MAGIC);
-    out.extend_from_slice(&crc32(&encoded).to_le_bytes());
-    out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // CRC, patched once the payload is in
+    out.extend_from_slice(&(raw_len as u32).to_le_bytes());
     out.extend_from_slice(&(rows as u32).to_le_bytes());
     out.extend_from_slice(&(cols as u32).to_le_bytes());
-    out.extend_from_slice(&encoded);
-    Ok(out)
+    codec.encode_words(words, out);
+    let crc = crc32(&out[24..]);
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Streams time-step samples into a chunked store. Memory is bounded by
@@ -118,6 +137,8 @@ pub struct SeriesWriter {
     /// Row-major `[n_series × buffered]` raw samples of the current block.
     buf: Vec<f64>,
     buffered: usize,
+    /// The encoded chunk being written, reused across blocks.
+    chunk: Vec<u8>,
     /// Completed time blocks already flushed.
     t_blocks_done: usize,
     length: usize,
@@ -150,6 +171,7 @@ impl SeriesWriter {
             chunk_len,
             buf: vec![0.0; n_series * chunk_len],
             buffered: 0,
+            chunk: Vec::new(),
             t_blocks_done: 0,
             length: 0,
         })
@@ -189,15 +211,11 @@ impl SeriesWriter {
         for vi in 0..v_blocks {
             let r0 = vi * self.chunk_series;
             let rows = (self.n_series - r0).min(self.chunk_series);
-            let mut raw = Vec::with_capacity(rows * cols * 8);
-            for r in 0..rows {
-                let row = &self.buf[(r0 + r) * self.chunk_len..][..cols];
-                for &v in row {
-                    raw.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            let chunk = encode_chunk(&raw, rows, cols, &self.codec)?;
-            self.storage.put(&chunk_key(vi, ti), &chunk)?;
+            let words = (r0..r0 + rows)
+                .flat_map(|r| &self.buf[r * self.chunk_len..][..cols])
+                .map(|v| v.to_bits());
+            encode_chunk(words, rows, cols, &self.codec, &mut self.chunk);
+            self.storage.put(&chunk_key(vi, ti), &self.chunk)?;
         }
         self.t_blocks_done += 1;
         self.buffered = 0;
@@ -289,10 +307,57 @@ impl SeriesStore {
         &self.manifest
     }
 
-    /// Reads and fully validates chunk `(vi, ti)`: magic, CRC, codec
-    /// decode, and length/geometry agreement. Returns the raw row-major
-    /// samples (`rows × cols`).
+    /// Reads and fully validates chunk `(vi, ti)`: magic, CRC, grid
+    /// geometry, codec decode, and length agreement, in that order.
+    /// Returns the raw row-major samples (`rows × cols`), decoded straight
+    /// from the stored bytes into one buffer.
     pub fn read_chunk(&self, vi: usize, ti: usize) -> Result<Vec<f64>, StoreError> {
+        let mut out = Vec::new();
+        let o = &mut out;
+        self.decode_chunk(vi, ti, move |samples| {
+            o.reserve_exact(samples);
+            move |v| o.push(v)
+        })?;
+        Ok(out)
+    }
+
+    /// [`SeriesStore::read_chunk`] straight into `rows`: one slice per row
+    /// of variable block `vi`, each as long as time block `ti`.
+    fn read_chunk_into(
+        &self,
+        vi: usize,
+        ti: usize,
+        rows: &mut [&mut [f64]],
+    ) -> Result<(), StoreError> {
+        self.decode_chunk(vi, ti, move |_| {
+            let (mut r, mut c) = (0, 0);
+            move |v| {
+                // Samples past the geometry are only counted, then rejected.
+                if let Some(row) = rows.get_mut(r) {
+                    row[c] = v;
+                    c += 1;
+                    if c == row.len() {
+                        (r, c) = (r + 1, 0);
+                    }
+                }
+            }
+        })
+    }
+
+    /// Fetches chunk `(vi, ti)`, validates it and decodes its samples in
+    /// row-major order into the sink `make_sink` builds. The checks run in
+    /// the order documented on [`SeriesStore::read_chunk`]; the CRC runs
+    /// before the codec. `make_sink` is called once the header checks
+    /// pass, with the sample count to expect, bounded by the payload size
+    /// (every codec spends at least one byte per sample), so a corrupt
+    /// manifest cannot make a reader allocate for samples that are not
+    /// there.
+    fn decode_chunk<S: FnMut(f64)>(
+        &self,
+        vi: usize,
+        ti: usize,
+        make_sink: impl FnOnce(usize) -> S,
+    ) -> Result<(), StoreError> {
         let key = chunk_key(vi, ti);
         let target = self.storage.target(&key);
         let bytes = self.storage.get(&key)?;
@@ -327,24 +392,51 @@ impl SeriesStore {
                 ),
             ));
         }
-        let raw = self
+        let sink = make_sink((rows * cols).min(encoded.len()));
+        let samples = self
             .codec
-            .decode(encoded)
+            .decode_each(encoded, sink)
             .map_err(|e| StoreError::corrupt(&target, format!("codec decode failed: {e}")))?;
-        if raw.len() != raw_len || raw_len != rows * cols * 8 {
+        if samples * 8 != raw_len || raw_len != rows * cols * 8 {
             return Err(StoreError::corrupt(
                 &target,
                 format!(
                     "decoded {} bytes, header claims {raw_len}, geometry needs {}",
-                    raw.len(),
+                    samples * 8,
                     rows * cols * 8
                 ),
             ));
         }
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(())
+    }
+
+    /// Reads the chunks `(vi, ti)` of `cells` and hands each to `fold` in
+    /// the order given. Fetch, CRC check and decode run concurrently on the
+    /// `cf-par` pool, at most [`cf_par::threads`] chunks at a time; `fold`
+    /// runs serially on the caller's thread, so every accumulation keeps
+    /// its serial order and its bits at any thread count. On failure the
+    /// error of the first bad chunk in `cells` order is returned, after the
+    /// chunks before it were folded.
+    fn for_each_chunk(
+        &self,
+        cells: &[(usize, usize)],
+        mut fold: impl FnMut(usize, usize, &[f64]),
+    ) -> Result<(), StoreError> {
+        for batch in cells.chunks(cf_par::threads()) {
+            let chunks = cf_par::par_map(batch.len(), |k| self.read_chunk(batch[k].0, batch[k].1));
+            for (&(vi, ti), chunk) in batch.iter().zip(chunks) {
+                fold(vi, ti, &chunk?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Every chunk of time blocks `tis`, in scan order: ascending `ti`,
+    /// then ascending `vi`.
+    fn cells(&self, tis: std::ops::Range<usize>) -> Vec<(usize, usize)> {
+        let v_blocks = self.manifest.v_blocks();
+        tis.flat_map(|ti| (0..v_blocks).map(move |vi| (vi, ti)))
+            .collect()
     }
 
     /// Materialises columns `[t0, t1)` as an `n_series × (t1-t0)` tensor.
@@ -357,23 +449,20 @@ impl SeriesStore {
         }
         let width = t1 - t0;
         let mut data = vec![0.0f64; m.n_series * width];
-        for ti in t0 / m.chunk_len..=(t1 - 1) / m.chunk_len {
+        let cells = self.cells(t0 / m.chunk_len..(t1 - 1) / m.chunk_len + 1);
+        self.for_each_chunk(&cells, |vi, ti, chunk| {
             let block_t0 = ti * m.chunk_len;
             let cols = m.cols_of(ti);
             // Columns of this block that intersect [t0, t1).
             let lo = t0.max(block_t0) - block_t0;
             let hi = t1.min(block_t0 + cols) - block_t0;
-            for vi in 0..m.v_blocks() {
-                let chunk = self.read_chunk(vi, ti)?;
-                let r0 = vi * m.chunk_series;
-                let rows = m.rows_of(vi);
-                for r in 0..rows {
-                    let src = &chunk[r * cols + lo..r * cols + hi];
-                    let dst_t = block_t0 + lo - t0;
-                    data[(r0 + r) * width + dst_t..][..hi - lo].copy_from_slice(src);
-                }
+            let r0 = vi * m.chunk_series;
+            for r in 0..m.rows_of(vi) {
+                let src = &chunk[r * cols + lo..r * cols + hi];
+                let dst_t = block_t0 + lo - t0;
+                data[(r0 + r) * width + dst_t..][..hi - lo].copy_from_slice(src);
             }
-        }
+        })?;
         Tensor::from_vec(vec![m.n_series, width], data).map_err(|e| StoreError::Invalid {
             detail: e.to_string(),
         })
@@ -385,49 +474,48 @@ impl SeriesStore {
         self.read_range(0, self.manifest.length)
     }
 
-    /// Per-series standardization statistics, streamed in two passes.
-    /// Addition order per series is ascending `t` — bitwise identical to
-    /// the in-RAM pipeline's `row.iter().sum()` folds.
+    /// Per-series standardization statistics, streamed in two passes over
+    /// every chunk: sums for the means, then squared deviations from them.
+    /// Chunks decode concurrently but fold serially in ascending time
+    /// order, so each series' addition order is ascending `t` — bitwise
+    /// identical to the in-RAM pipeline's `row.iter().sum()` folds.
     pub fn stats(&self) -> Result<StandardizeStats, StoreError> {
         let m = &self.manifest;
-        let n = m.n_series;
-        let mut sums = vec![0.0f64; n];
-        for ti in 0..m.t_blocks() {
-            let cols = m.cols_of(ti);
-            for vi in 0..m.v_blocks() {
-                let chunk = self.read_chunk(vi, ti)?;
-                let r0 = vi * m.chunk_series;
-                for r in 0..m.rows_of(vi) {
-                    let mut acc = sums[r0 + r];
-                    for &v in &chunk[r * cols..(r + 1) * cols] {
-                        acc += v;
-                    }
-                    sums[r0 + r] = acc;
-                }
-            }
-        }
-        let means: Vec<f64> = sums.iter().map(|s| s / m.length as f64).collect();
-        let mut sq = vec![0.0f64; n];
-        for ti in 0..m.t_blocks() {
-            let cols = m.cols_of(ti);
-            for vi in 0..m.v_blocks() {
-                let chunk = self.read_chunk(vi, ti)?;
-                let r0 = vi * m.chunk_series;
-                for r in 0..m.rows_of(vi) {
-                    let mean = means[r0 + r];
-                    let mut acc = sq[r0 + r];
-                    for &v in &chunk[r * cols..(r + 1) * cols] {
-                        acc += (v - mean) * (v - mean);
-                    }
-                    sq[r0 + r] = acc;
-                }
-            }
-        }
-        let stds: Vec<f64> = sq
+        let cells = self.cells(0..m.t_blocks());
+        let means: Vec<f64> = self
+            .fold_series(&cells, |_, v| v)?
+            .iter()
+            .map(|s| s / m.length as f64)
+            .collect();
+        let stds: Vec<f64> = self
+            .fold_series(&cells, |i, v| (v - means[i]) * (v - means[i]))?
             .iter()
             .map(|s| (s / m.length as f64).sqrt().max(1e-12))
             .collect();
         Ok(StandardizeStats { means, stds })
+    }
+
+    /// Sums `term(series, sample)` per series over the chunks of `cells`,
+    /// each series in the order its samples appear there.
+    fn fold_series(
+        &self,
+        cells: &[(usize, usize)],
+        term: impl Fn(usize, f64) -> f64,
+    ) -> Result<Vec<f64>, StoreError> {
+        let m = &self.manifest;
+        let mut acc = vec![0.0f64; m.n_series];
+        self.for_each_chunk(cells, |vi, ti, chunk| {
+            let cols = m.cols_of(ti);
+            let r0 = vi * m.chunk_series;
+            for r in 0..m.rows_of(vi) {
+                let mut a = acc[r0 + r];
+                for &v in &chunk[r * cols..(r + 1) * cols] {
+                    a += term(r0 + r, v);
+                }
+                acc[r0 + r] = a;
+            }
+        })?;
+        Ok(acc)
     }
 
     /// Streams standardized `n_series × window` training windows at
@@ -511,34 +599,60 @@ impl WindowScan<'_> {
 
     /// Drops columns before `next_start` and loads time blocks until the
     /// next window is buffered (plus up to `read_ahead` blocks of
-    /// prefetch).
+    /// prefetch). The chunks of one fill are fetched, checked and decoded
+    /// concurrently, each straight into its own columns of the carry.
     fn fill(&mut self) -> Result<(), StoreError> {
-        let m = &self.store.manifest;
-        // Trim the carry to the columns still needed.
+        let store = self.store;
+        let m = &store.manifest;
+        // Trim the carry to the columns still needed. A stride that jumps
+        // past everything loaded restarts the carry at the time block
+        // holding the next window; blocks in between are never read.
         let keep_from = self.next_start;
-        if keep_from > self.buf_t0 {
+        if keep_from >= self.t_loaded {
+            let t0 = keep_from / m.chunk_len * m.chunk_len;
+            for row in &mut self.buf {
+                row.clear();
+            }
+            (self.buf_t0, self.t_loaded) = (t0, t0);
+        } else if keep_from > self.buf_t0 {
             let k = keep_from - self.buf_t0;
             for row in &mut self.buf {
-                row.drain(..k.min(row.len()));
+                row.drain(..k);
             }
             self.buf_t0 = keep_from;
         }
         let need = self.next_start + self.window;
         let cap = self.window + self.read_ahead * m.chunk_len;
-        while self.t_loaded < m.length
-            && (self.t_loaded < need || self.t_loaded - self.buf_t0 + m.chunk_len <= cap)
-        {
-            let ti = self.t_loaded / m.chunk_len;
-            let cols = m.cols_of(ti);
-            for vi in 0..m.v_blocks() {
-                let chunk = self.store.read_chunk(vi, ti)?;
-                let r0 = vi * m.chunk_series;
-                for r in 0..m.rows_of(vi) {
-                    self.buf[r0 + r].extend_from_slice(&chunk[r * cols..(r + 1) * cols]);
-                }
-            }
-            self.t_loaded += cols;
+        let mut t_end = self.t_loaded;
+        while t_end < m.length && (t_end < need || t_end - self.buf_t0 + m.chunk_len <= cap) {
+            t_end += m.cols_of(t_end / m.chunk_len);
         }
+        let cells = store.cells(self.t_loaded / m.chunk_len..t_end.div_ceil(m.chunk_len));
+        // Grow every row to its new width and hand each cell the slices of
+        // its rows: disjoint column ranges, one per time block.
+        let (loaded, width) = (self.t_loaded - self.buf_t0, t_end - self.buf_t0);
+        let v_blocks = m.v_blocks();
+        let mut targets: Vec<Vec<&mut [f64]>> = cells.iter().map(|_| Vec::new()).collect();
+        for (i, row) in self.buf.iter_mut().enumerate() {
+            row.resize(width, 0.0);
+            let mut rest = &mut row[loaded..];
+            for k in (i / m.chunk_series..cells.len()).step_by(v_blocks) {
+                let (block, tail) = std::mem::take(&mut rest).split_at_mut(m.cols_of(cells[k].1));
+                targets[k].push(block);
+                rest = tail;
+            }
+        }
+        let mut jobs: Vec<_> = cells
+            .iter()
+            .zip(targets)
+            .map(|(&c, rows)| (c, rows, Ok(())))
+            .collect();
+        cf_par::par_each_mut(&mut jobs, |_, ((vi, ti), rows, res)| {
+            *res = store.read_chunk_into(*vi, *ti, rows);
+        });
+        // The first bad chunk in scan order names the failure.
+        jobs.into_iter().try_for_each(|(_, _, res)| res)?;
+        self.t_loaded = t_end;
         Ok(())
     }
 }
@@ -597,24 +711,56 @@ mod tests {
             .collect()
     }
 
-    fn build_store(
+    fn build_mem(
         rows: &[Vec<f64>],
         chunk_series: usize,
         chunk_len: usize,
         codec: &str,
-    ) -> SeriesStore {
-        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    ) -> Arc<MemStorage> {
+        let storage = Arc::new(MemStorage::new());
         let n = rows.len();
         let l = rows[0].len();
-        let mut w =
-            SeriesWriter::new(Arc::clone(&storage), n, chunk_series, chunk_len, codec).unwrap();
+        let mut w = SeriesWriter::new(storage.clone(), n, chunk_series, chunk_len, codec).unwrap();
         for t in 0..l {
             let sample: Vec<f64> = rows.iter().map(|r| r[t]).collect();
             w.append(&sample).unwrap();
         }
         let manifest = w.finish().unwrap();
         assert_eq!(manifest.length, l);
-        SeriesStore::open(storage).unwrap()
+        storage
+    }
+
+    fn build_store(
+        rows: &[Vec<f64>],
+        chunk_series: usize,
+        chunk_len: usize,
+        codec: &str,
+    ) -> SeriesStore {
+        SeriesStore::open(build_mem(rows, chunk_series, chunk_len, codec)).unwrap()
+    }
+
+    /// Serialises the tests that resize the global `cf-par` pool.
+    fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Rewrites the stored bytes of chunk `(vi, ti)` with `damage`.
+    fn damage_chunk(storage: &MemStorage, vi: usize, ti: usize, damage: impl FnOnce(&mut [u8])) {
+        let key = chunk_key(vi, ti);
+        let mut bytes = storage.get(&key).unwrap();
+        damage(&mut bytes);
+        storage.put(&key, &bytes).unwrap();
+    }
+
+    /// Flips one payload bit: a checksum mismatch.
+    fn flip_last_bit(bytes: &mut [u8]) {
+        *bytes.last_mut().unwrap() ^= 0x10;
+    }
+
+    /// Overwrites the magic: a bad-magic error.
+    fn break_magic(bytes: &mut [u8]) {
+        bytes[0] = b'X';
     }
 
     #[test]
@@ -750,6 +896,88 @@ mod tests {
         assert!(store.standardized_windows(4, 2, 1).is_err());
     }
 
+    /// Asserts `err` is the checksum failure of chunk `(vi, ti)`.
+    fn assert_checksum_error_of(err: &StoreError, vi: usize, ti: usize, ctx: &str) {
+        let msg = err.to_string();
+        assert!(msg.contains(&chunk_key(vi, ti)), "{ctx}: {msg}");
+        assert!(msg.contains("checksum"), "{ctx}: {msg}");
+    }
+
+    #[test]
+    fn parallel_reads_report_the_first_bad_chunk_in_scan_order() {
+        let _g = pool_lock();
+        // 5 series on chunk_series 2 (3 variable blocks), 103 steps on
+        // chunk_len 16 (7 time blocks, ragged tail).
+        let rows = synth(5, 103);
+        for threads in [1, 2, 4] {
+            cf_par::set_threads(threads);
+            let ctx = format!("{threads} threads");
+            // Scan order is (ti, vi): chunk (2, 1) comes before (0, 2), though
+            // a variable-major order would visit (0, 2) first.
+            let storage = build_mem(&rows, 2, 16, "delta-varint");
+            damage_chunk(&storage, 2, 1, flip_last_bit);
+            damage_chunk(&storage, 0, 2, break_magic);
+            let store = SeriesStore::open(storage.clone()).unwrap();
+            assert_checksum_error_of(&store.stats().unwrap_err(), 2, 1, &ctx);
+            let err = store.standardized_windows(9, 4, 2).err().unwrap();
+            assert_checksum_error_of(&err, 2, 1, &ctx);
+            assert_checksum_error_of(&store.read_all().unwrap_err(), 2, 1, &ctx);
+
+            // Chunks damaged after the statistics passes fail only in the
+            // window pass. read_ahead 8 loads every block in one batch.
+            let storage = build_mem(&rows, 2, 16, "delta-varint");
+            let store = SeriesStore::open(storage.clone()).unwrap();
+            let mut scan = store.standardized_windows(9, 4, 8).unwrap();
+            damage_chunk(&storage, 1, 4, flip_last_bit);
+            damage_chunk(&storage, 0, 5, break_magic);
+            let err = scan.next().unwrap().unwrap_err();
+            assert_checksum_error_of(&err, 1, 4, &ctx);
+            assert!(scan.next().is_none(), "{ctx}: a failed scan ends");
+        }
+    }
+
+    #[test]
+    fn ragged_grid_matches_in_ram_standardize_at_any_thread_count() {
+        use cf_data::window::{standardize, windows};
+        let _g = pool_lock();
+        let rows = synth(5, 103);
+        let series = Tensor::from_vec(vec![5, 103], rows.concat()).unwrap();
+        // (chunk_len, window, stride): the second stride jumps past the
+        // whole carry (window + read_ahead·chunk_len) between windows.
+        for (chunk_len, window, stride) in [(16, 9, 4), (7, 3, 40)] {
+            let want = windows(&standardize(&series), window, stride);
+            for codec in ["raw", "delta-varint"] {
+                let store = build_store(&rows, 2, chunk_len, codec);
+                assert!(store.manifest().v_blocks() > 1);
+                for threads in [1, 2, 4] {
+                    cf_par::set_threads(threads);
+                    let ctx = format!("chunk_len {chunk_len}, codec {codec}, {threads} threads");
+                    let stats = store.stats().unwrap();
+                    for (i, row) in rows.iter().enumerate() {
+                        let mean = row.iter().sum::<f64>() / row.len() as f64;
+                        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
+                            / row.len() as f64;
+                        assert_eq!(stats.means[i].to_bits(), mean.to_bits(), "{ctx}");
+                        assert_eq!(stats.stds[i].to_bits(), var.sqrt().to_bits(), "{ctx}");
+                    }
+                    for read_ahead in [1, 3] {
+                        let got: Vec<Tensor> = store
+                            .standardized_windows(window, stride, read_ahead)
+                            .unwrap()
+                            .collect::<Result<_, _>>()
+                            .unwrap();
+                        assert_eq!(got.len(), want.len(), "{ctx}");
+                        for (g, w) in got.iter().zip(&want) {
+                            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+                            let (g, w): (Vec<u64>, Vec<u64>) = (bits(g), bits(w));
+                            assert_eq!(g, w, "{ctx}, read_ahead {read_ahead}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn writer_validates_input() {
         let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
@@ -787,5 +1015,23 @@ mod tests {
             )
             .unwrap();
         assert!(SeriesStore::open(storage as Arc<dyn Storage>).is_err());
+    }
+
+    #[test]
+    fn absurd_manifest_geometry_fails_on_read_without_allocating() {
+        // A manifest whose chunk grid claims ~2^40 samples per chunk: the
+        // chunk header disagrees, and nothing is sized from the claim.
+        let storage = build_mem(&synth(2, 20), 2, 8, "delta-varint");
+        let mut m = SeriesStore::open(storage.clone())
+            .unwrap()
+            .manifest()
+            .clone();
+        (m.chunk_len, m.length) = (1 << 40, 1 << 40);
+        let json = serde_json::to_string(&m).unwrap();
+        storage.put(MANIFEST_KEY, json.as_bytes()).unwrap();
+        let store = SeriesStore::open(storage).unwrap();
+        let err = store.read_chunk(0, 0).unwrap_err().to_string();
+        assert!(err.contains("manifest grid expects"), "{err}");
+        assert!(store.stats().is_err());
     }
 }

@@ -24,13 +24,15 @@ CF_THREADS=4 cargo test -q --workspace
 # fault drills (injected NaN, injected I/O failure, kill between epochs,
 # on-disk corruption) must recover. The store-pipeline gate rides along:
 # discovery streamed from a chunked on-disk store must be bitwise identical
-# to the in-RAM path, and a corrupted chunk must fail loudly naming its
-# file. Run at 1, 2, and 4 worker threads: recovery and store/RAM
-# equivalence must be exact on any machine.
+# to the in-RAM path (also when a widened stride skips chunks), and a
+# corrupted chunk must fail loudly naming its file. Run at 1, 2, and 4
+# worker threads: recovery and store/RAM equivalence must be exact on any
+# machine.
 for threads in 1 2 4; do
   echo "== resume determinism + fault drills + store pipeline (CF_THREADS=$threads)"
   CF_THREADS=$threads cargo test -q -p causalformer \
-    --test resume_determinism --test fault_injection --test store_pipeline
+    --test resume_determinism --test fault_injection --test store_pipeline \
+    --test store_widened_stride
 done
 
 # Dtype gate: the f64 pipeline must reproduce the pre-generic-backend
@@ -96,6 +98,22 @@ for panel in panel-training-loss panel-causal-evolution \
 done
 grep -q '"traceEvents"' "$smoke_dir/trace.json"
 grep -q '"record":"detect"' "$smoke_dir/diag.cfdiag"
+
+# Store thread-invariance smoke: chunk reads decode concurrently, so a
+# discovery streamed from a store must print the same graph at 1 and 2
+# threads.
+echo "== discover --store thread invariance (--threads 1 vs 2)"
+cargo run -q -p cf-cli --bin causalformer -- \
+  generate --dataset lorenz96 --length 4000 --seed 1 --chunk-len 256 \
+  --store-out "$smoke_dir/store" > /dev/null
+for threads in 1 2; do
+  cargo run -q -p cf-cli --bin causalformer -- \
+    discover --store "$smoke_dir/store" --preset lorenz --window 8 \
+    --epochs 2 --max-windows 64 --seed 1 --quiet --threads "$threads" \
+    > "$smoke_dir/store-graph-$threads.txt"
+done
+cmp "$smoke_dir/store-graph-1.txt" "$smoke_dir/store-graph-2.txt"
+grep -q "causal relations" "$smoke_dir/store-graph-1.txt"
 
 # Trace-analysis smoke: the analyzer must produce self-time and scaling
 # tables from the same pair, and bench-diff must report a committed
