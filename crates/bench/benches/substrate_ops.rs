@@ -21,7 +21,9 @@ fn rand_t(shape: &[usize], seed: u64) -> Tensor {
 
 fn bench_causal_conv(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/causal_conv");
-    for (n, t) in [(5usize, 16usize), (15, 16), (15, 32)] {
+    // (20, 16) is the lorenz preset's training shape, (64, 12) the sst
+    // preset's.
+    for (n, t) in [(5usize, 16usize), (15, 16), (15, 32), (20, 16), (64, 12)] {
         let x = rand_t(&[n, t], 1);
         let k = rand_t(&[n, n, t], 2);
         group.bench_function(format!("forward_n{n}_t{t}"), |b| {
@@ -31,18 +33,28 @@ fn bench_causal_conv(c: &mut Criterion) {
         group.bench_function(format!("backward_kernel_n{n}_t{t}"), |b| {
             b.iter(|| ops::causal_conv_backward_kernel(black_box(&x), black_box(&g)))
         });
+        group.bench_function(format!("backward_x_n{n}_t{t}"), |b| {
+            b.iter(|| ops::causal_conv_backward_x(black_box(&k), black_box(&g)))
+        });
     }
     group.finish();
 }
 
 fn bench_attention(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/attention");
-    for n in [5usize, 15, 50] {
+    for n in [5usize, 15, 20, 50, 64] {
         let t = 16;
         let attn = rand_t(&[n, n], 3).softmax_rows();
         let v = rand_t(&[n, n, t], 4);
         group.bench_function(format!("attn_apply_n{n}"), |b| {
             b.iter(|| ops::attn_apply(black_box(&attn), black_box(&v)))
+        });
+        let g = rand_t(&[n, t], 5);
+        group.bench_function(format!("attn_apply_backward_attn_n{n}"), |b| {
+            b.iter(|| ops::attn_apply_backward_attn(black_box(&v), black_box(&g)))
+        });
+        group.bench_function(format!("attn_apply_backward_v_n{n}"), |b| {
+            b.iter(|| ops::attn_apply_backward_v(black_box(&attn), black_box(&g)))
         });
     }
     group.finish();
@@ -58,6 +70,38 @@ fn bench_matmul_softmax(c: &mut Criterion) {
     group.bench_function("softmax_rows_64", |b| {
         b.iter(|| black_box(&a).softmax_rows())
     });
+    // The lorenz preset's row-wise layers: a 20×32 activation through a
+    // 32×32 weight, forward plus both gradients (da = g·wᵀ, dw = aᵀ·g).
+    let x = rand_t(&[20, 32], 7);
+    let w = rand_t(&[32, 32], 8);
+    let g = rand_t(&[20, 32], 9);
+    group.bench_function("matmul_20x32x32", |b| {
+        b.iter(|| black_box(&x).matmul(black_box(&w)))
+    });
+    group.bench_function("matmul_nt_grad_20x32x32", |b| {
+        b.iter(|| black_box(&g).matmul_nt(black_box(&w)))
+    });
+    group.bench_function("matmul_tn_grad_20x32x32", |b| {
+        b.iter(|| black_box(&x).matmul_tn(black_box(&g)))
+    });
+    // Attention scores q·kᵀ at n = 20 (lorenz) and n = 64 (sst), d_qk 32,
+    // and the n = 64 gradients (dq = g·k, dk = gᵀ·q).
+    for n in [20usize, 64] {
+        let q = rand_t(&[n, 32], 10);
+        let k = rand_t(&[n, 32], 11);
+        group.bench_function(format!("scores_nt_n{n}"), |b| {
+            b.iter(|| black_box(&q).matmul_nt(black_box(&k)))
+        });
+        if n == 64 {
+            let gs = rand_t(&[n, n], 12);
+            group.bench_function("scores_grad_q_n64", |b| {
+                b.iter(|| black_box(&gs).matmul(black_box(&k)))
+            });
+            group.bench_function("scores_grad_k_n64", |b| {
+                b.iter(|| black_box(&gs).matmul_tn(black_box(&q)))
+            });
+        }
+    }
     group.finish();
 }
 

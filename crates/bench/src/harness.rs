@@ -140,7 +140,7 @@ pub fn parse_options(args: impl Iterator<Item = String>) -> Options {
 /// Heartbeat streams are stamped with the same schema version as the CLI's
 /// `--metrics-out` artifacts (`cf_cli::METRICS_SCHEMA_VERSION`) so one
 /// `monitor` binary reads both; keep the two constants in step.
-pub const HEARTBEAT_SCHEMA_VERSION: &str = "2.2";
+pub const HEARTBEAT_SCHEMA_VERSION: &str = "2.3";
 
 /// Starts the live heartbeat sampler when `--heartbeat-out` was given or a
 /// `CF_WATCHDOG` policy is set in the environment (file-less watchdog

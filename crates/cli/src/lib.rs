@@ -694,7 +694,10 @@ fn setup_observability(a: &DiscoverArgs) -> Result<bool, CliError> {
 /// 2.2 (additive): the same version also stamps the `--heartbeat-out`
 /// stream (`meta` / `heartbeat` / `progress` / `run_end` events, see
 /// DESIGN.md §5.7); the `--metrics-out` stream is unchanged.
-pub const METRICS_SCHEMA_VERSION: &str = "2.2";
+///
+/// 2.3 (additive): `op_profile` entries carry `gflop_per_s`, the op
+/// kind's estimated FLOP rate; `approx_gflops` stays the run's total.
+pub const METRICS_SCHEMA_VERSION: &str = "2.3";
 
 /// Executes `discover`, returning the human-readable report that `main`
 /// prints.

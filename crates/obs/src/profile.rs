@@ -99,26 +99,36 @@ pub fn reset() {
 }
 
 /// Serialises the op profile as a JSON array sorted by total time
-/// descending: `[{op, count, total_secs, mean_us, approx_gflops}, …]`.
+/// descending: `[{op, count, total_secs, mean_us, approx_gflops,
+/// gflop_per_s}, …]`.
 pub fn snapshot_json() -> String {
     let mut arr = crate::json::Arr::new();
     for (kind, s) in snapshot() {
-        let mean_us = if s.count == 0 {
-            0.0
-        } else {
-            s.total.as_secs_f64() * 1e6 / s.count as f64
-        };
-        arr = arr.raw(
-            &crate::json::Obj::new()
-                .str("op", kind)
-                .u64("count", s.count)
-                .f64("total_secs", s.total.as_secs_f64())
-                .f64("mean_us", mean_us)
-                .f64("approx_gflops", s.flops as f64 / 1e9)
-                .finish(),
-        );
+        arr = arr.raw(&op_json(kind, &s));
     }
     arr.finish()
+}
+
+/// One `op_profile` entry. `approx_gflops` is the op kind's *total*
+/// estimated work in GFLOP over the run; `gflop_per_s` is the rate, that
+/// total divided by `total_secs` (0 when no time was recorded).
+fn op_json(kind: &str, s: &OpStats) -> String {
+    let secs = s.total.as_secs_f64();
+    let mean_us = if s.count == 0 {
+        0.0
+    } else {
+        secs * 1e6 / s.count as f64
+    };
+    let gflops = s.flops as f64 / 1e9;
+    let rate = if secs > 0.0 { gflops / secs } else { 0.0 };
+    crate::json::Obj::new()
+        .str("op", kind)
+        .u64("count", s.count)
+        .f64("total_secs", secs)
+        .f64("mean_us", mean_us)
+        .f64("approx_gflops", gflops)
+        .f64("gflop_per_s", rate)
+        .finish()
 }
 
 #[cfg(test)]
@@ -156,5 +166,23 @@ mod tests {
             .expect("op recorded");
         assert_eq!(stats.count, 2);
         assert_eq!(stats.flops, 25);
+    }
+
+    #[test]
+    fn op_json_reports_total_gflop_and_rate() {
+        // 1.008 GFLOP in 0.21 s is 4.8 GFLOP/s.
+        let s = OpStats {
+            count: 4,
+            total: Duration::from_millis(210),
+            flops: 1_008_000_000,
+        };
+        let json = op_json("bwd.matmul", &s);
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(v["approx_gflops"].as_f64(), Some(1.008));
+        let rate = v["gflop_per_s"].as_f64().unwrap();
+        assert!((rate - 4.8).abs() < 1e-12, "{rate}");
+        assert_eq!(v["mean_us"].as_f64(), Some(52_500.0));
+        let idle = op_json("idle", &OpStats::default());
+        assert!(idle.contains("\"gflop_per_s\":0"), "{idle}");
     }
 }

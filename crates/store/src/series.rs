@@ -99,6 +99,23 @@ impl Manifest {
     }
 }
 
+/// Rejects a chunk grid whose largest chunk (`rows × cols` samples) would
+/// not fit the header's `u32` raw byte length.
+fn check_chunk_bytes(rows: usize, cols: usize) -> Result<(), StoreError> {
+    let bytes = rows.checked_mul(cols).and_then(|s| s.checked_mul(8));
+    match bytes {
+        Some(b) if b <= u32::MAX as usize => Ok(()),
+        _ => Err(StoreError::Invalid {
+            detail: format!(
+                "a chunk of {rows} rows × {cols} cols is {} bytes raw, over the \
+                 {} byte limit of the chunk header's u32 length",
+                bytes.map_or_else(|| "over usize::MAX".to_string(), |b| b.to_string()),
+                u32::MAX
+            ),
+        }),
+    }
+}
+
 /// The storage key of chunk `(vi, ti)`.
 pub fn chunk_key(vi: usize, ti: usize) -> String {
     format!("c{vi:04}_{ti:08}.cfc")
@@ -162,6 +179,7 @@ impl SeriesWriter {
                 ),
             });
         }
+        check_chunk_bytes(chunk_series.min(n_series), chunk_len)?;
         let codec = Pipeline::by_name(codec)?;
         Ok(Self {
             storage,
@@ -289,6 +307,10 @@ impl SeriesStore {
         {
             return Err(StoreError::corrupt(&target, "manifest has zero geometry"));
         }
+        check_chunk_bytes(
+            manifest.chunk_series.min(manifest.n_series),
+            manifest.chunk_len.min(manifest.length),
+        )?;
         let codec = Pipeline::by_name(&manifest.codec)?;
         Ok(Self {
             storage,
@@ -1019,19 +1041,65 @@ mod tests {
 
     #[test]
     fn absurd_manifest_geometry_fails_on_read_without_allocating() {
-        // A manifest whose chunk grid claims ~2^40 samples per chunk: the
-        // chunk header disagrees, and nothing is sized from the claim.
         let storage = build_mem(&synth(2, 20), 2, 8, "delta-varint");
         let mut m = SeriesStore::open(storage.clone())
             .unwrap()
             .manifest()
             .clone();
+        // ~2^41 samples per chunk cannot even be described by a chunk
+        // header: open refuses the manifest.
         (m.chunk_len, m.length) = (1 << 40, 1 << 40);
+        let json = serde_json::to_string(&m).unwrap();
+        storage.put(MANIFEST_KEY, json.as_bytes()).unwrap();
+        let err = SeriesStore::open(storage.clone()).err().expect("rejected");
+        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        // 2^27 samples per chunk fit a header, but the stored chunk's
+        // header disagrees, and nothing is sized from the claim.
+        (m.chunk_len, m.length) = (1 << 26, 1 << 26);
         let json = serde_json::to_string(&m).unwrap();
         storage.put(MANIFEST_KEY, json.as_bytes()).unwrap();
         let store = SeriesStore::open(storage).unwrap();
         let err = store.read_chunk(0, 0).unwrap_err().to_string();
         assert!(err.contains("manifest grid expects"), "{err}");
         assert!(store.stats().is_err());
+    }
+
+    #[test]
+    fn chunk_raw_length_must_fit_the_u32_header_field() {
+        // 8 · rows · cols ≤ u32::MAX: 2^29 − 1 samples fit, 2^29 do not.
+        let at_limit = (u32::MAX / 8) as usize;
+        assert!(check_chunk_bytes(1, at_limit).is_ok());
+        assert!(check_chunk_bytes(at_limit, 1).is_ok());
+        let err = check_chunk_bytes(1, at_limit + 1).unwrap_err().to_string();
+        assert!(
+            err.contains("1 rows") && err.contains("536870912 cols") && err.contains("4294967296"),
+            "{err}"
+        );
+        assert!(check_chunk_bytes(usize::MAX, 2).is_err(), "overflow");
+
+        // The writer refuses before it sizes its block buffer.
+        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        let err = SeriesWriter::new(Arc::clone(&storage), 2, 2, 1 << 28, "raw")
+            .err()
+            .expect("over the limit");
+        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        assert!(err.to_string().contains("2 rows × 268435456 cols"), "{err}");
+
+        // Open checks the largest chunk the grid can hold: a long
+        // chunk_len over a short series is fine, a long series is not.
+        let mem = build_mem(&synth(2, 20), 2, 8, "raw");
+        let mut m = SeriesStore::open(mem.clone()).unwrap().manifest().clone();
+        (m.chunk_len, m.length) = (1 << 40, at_limit / 2);
+        mem.put(MANIFEST_KEY, serde_json::to_string(&m).unwrap().as_bytes())
+            .unwrap();
+        assert!(
+            SeriesStore::open(mem.clone()).is_ok(),
+            "exactly at the limit"
+        );
+        m.length = at_limit / 2 + 1;
+        mem.put(MANIFEST_KEY, serde_json::to_string(&m).unwrap().as_bytes())
+            .unwrap();
+        let err = SeriesStore::open(mem).err().expect("just over the limit");
+        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
     }
 }

@@ -6,9 +6,10 @@
 //! The crate has three layers:
 //!
 //! * [`Scalar`] — the sealed element-type trait (`f32`/`f64`), with the
-//!   runtime [`Dtype`] selector. Each dtype carries its own accumulation
-//!   policy for the dot-product microkernel (sequential and bitwise-pinned
-//!   for `f64`, multi-lane SIMD for `f32`) and its own pooled storage.
+//!   runtime [`Dtype`] selector and each dtype's pooled storage. Both
+//!   dtypes share one register-tiled contraction kernel (`gemm`) that adds
+//!   each output cell's terms in ascending order, with run-time AVX2
+//!   dispatch.
 //! * [`TensorBase`] — a row-major, heap-allocated n-dimensional array,
 //!   generic over the element type; [`Tensor`] is the `f64` alias that
 //!   keeps the historical API. Shape errors panic with a descriptive
@@ -48,6 +49,7 @@
 #![allow(clippy::needless_range_loop)]
 
 mod error;
+mod gemm;
 mod init;
 pub mod ops;
 pub mod pool;

@@ -12,18 +12,22 @@
 //! them unit-testable in isolation (including finite-difference checks in
 //! `tape::tests`).
 //!
-//! All kernels are generic over the element type and written as contiguous
-//! slice panels: the convolution inner loop is a [`Scalar::dot_from`] over
-//! the observed prefix (sequential for f64 — bitwise-pinned — and 8-lane
-//! for f32), and the backward/attention loops are `out[..] += a * src[..]`
-//! axpy panels with the bounds checks hoisted out of the inner loop.
+//! All kernels are generic over the element type. The convolution forward
+//! and kernel gradient run on the one register-tiled contraction kernel in
+//! the `gemm` module, which computes independent output cells side by side
+//! and adds each cell's terms in ascending order (dispatched to AVX2 at
+//! run time when the CPU has it). The attention-weight gradient is one
+//! ascending dot per cell, and the remaining backward and attention loops
+//! are `out[..] += a * src[..]` axpy panels with the bounds checks hoisted
+//! out of the inner loop.
 
+use crate::gemm::{self, Operands, NR};
 use crate::scalar::Scalar;
 use crate::tensor::TensorBase;
 
 /// Multiply-add count (≈ n²·T² for a causal convolution) below which the
-/// convolution kernels stay serial; mirrors
-/// [`PAR_FLOP_THRESHOLD`](crate::tensor::PAR_FLOP_THRESHOLD) for matmuls.
+/// convolution kernels stay serial; mirrors the contraction kernel's
+/// FLOP threshold for matmuls.
 /// Gated through [`cf_par::should_fan_out`], so nested calls (from inside
 /// a scheduler task) need 4× this much work to fan out.
 const PAR_ELEM_THRESHOLD: usize = 131_072;
@@ -50,35 +54,72 @@ pub fn causal_conv<E: Scalar>(x: &TensorBase<E>, kernel: &TensorBase<E>) -> Tens
     assert_eq!(kt, t_len, "kernel taps must equal window length");
 
     let mut out = TensorBase::<E>::zeros(&[n, n, t_len]);
-    // Slab-parallel over i: out[i,·,·] is a contiguous, disjoint n·t_len
-    // block computed purely from x.row(i) and kernel[i,·,·], so the parallel
-    // result is bitwise identical to serial at any thread count.
+    slab_contractions::<E, false>(kernel.data(), x, out.data_mut());
+    out
+}
+
+/// For every series `i`, `C[i] += A[i]·W_i` on the contraction kernel.
+/// `A[i]` and `C[i]` are the `N×T` slabs `i` of `a` and `c`;
+/// `W_i[u,t] = w[t+u]`, where `w` is row `i` of `x` behind `T − 1` zeros
+/// (and trailing zeros up to whole register tiles), so ascending `u`
+/// reaches the observed prefix `x[i,0..=t]` in ascending order after
+/// leading terms that multiply padding zeros.
+///
+/// The `1/(t+1)` of Eq. 3 applies to the output columns after the
+/// contraction (forward), or with `KERNEL_GRAD` to a per-slab copy of
+/// `A`'s columns before it, which then also turns on the zero-skip.
+///
+/// Slab-parallel over `i`: slab `i` depends only on `A[i]` and `x.row(i)`,
+/// so the parallel result is bitwise identical to serial at any thread
+/// count.
+fn slab_contractions<E: Scalar, const KERNEL_GRAD: bool>(a: &[E], x: &TensorBase<E>, c: &mut [E]) {
+    let (n, t_len) = dims_2(x, "causal_conv x");
     let slab_len = n * t_len;
-    let kdata = kernel.data();
-    let slab = |i: usize, oslab: &mut [E]| {
-        let xi = x.row(i);
-        let kslab = &kdata[i * slab_len..(i + 1) * slab_len];
-        for j in 0..n {
-            let krow = &kslab[j * t_len..(j + 1) * t_len];
-            let orow = &mut oslab[j * t_len..(j + 1) * t_len];
-            for t in 0..t_len {
-                // s ranges over the observed prefix [0, t]; the matching
-                // kernel taps are u = T−1−t .. T−1, a contiguous suffix —
-                // one microkernel dot per output slot.
-                let acc = E::dot_from(E::ZERO, &krow[t_len - 1 - t..], &xi[..=t]);
-                orow[t] = acc / E::from_f64((t + 1) as f64);
+    let wlen = t_len - 1 + t_len.next_multiple_of(NR);
+    let mut windows = TensorBase::<E>::zeros(&[n, wlen]);
+    for (i, w) in windows.data_mut().chunks_exact_mut(wlen).enumerate() {
+        w[t_len - 1..2 * t_len - 1].copy_from_slice(x.row(i));
+    }
+    let counts: Vec<E> = (1..=t_len).map(|c| E::from_f64(c as f64)).collect();
+    let per_slot = |rows: &mut [E]| {
+        for row in rows.chunks_exact_mut(t_len) {
+            for (v, &d) in row.iter_mut().zip(&counts) {
+                *v /= d;
             }
         }
     };
+    let slab = |i: usize, cslab: &mut [E]| {
+        let mut a = &a[i * slab_len..(i + 1) * slab_len];
+        let scaled;
+        if KERNEL_GRAD {
+            let mut g = TensorBase::<E>::zeros(&[n, t_len]);
+            g.data_mut().copy_from_slice(a);
+            per_slot(g.data_mut());
+            scaled = g;
+            a = scaled.data();
+        }
+        let o = Operands {
+            a,
+            rs_a: t_len,
+            cs_a: 1,
+            b: &windows.data()[i * wlen..(i + 1) * wlen],
+            ldb: 1,
+            k: t_len,
+            n: t_len,
+            causal_pad: true,
+        };
+        gemm::gemm::<E, KERNEL_GRAD>(&o, cslab);
+        if !KERNEL_GRAD {
+            per_slot(cslab);
+        }
+    };
     if !cf_par::should_fan_out((n * n * t_len * t_len) as u64, PAR_ELEM_THRESHOLD as u64) {
-        for i in 0..n {
-            let oslab = &mut out.data_mut()[i * slab_len..(i + 1) * slab_len];
-            slab(i, oslab);
+        for (i, cslab) in c.chunks_exact_mut(slab_len).enumerate() {
+            slab(i, cslab);
         }
     } else {
-        cf_par::par_chunks_mut(out.data_mut(), slab_len, slab);
+        cf_par::par_chunks_mut(c, slab_len, slab);
     }
-    out
 }
 
 /// Gradient of [`causal_conv`] with respect to the kernel.
@@ -107,38 +148,9 @@ pub fn causal_conv_backward_kernel_into<E: Scalar>(
         &[n, n, t_len],
         "causal_conv_backward_kernel_into output shape"
     );
-    // Same per-i slab decomposition as the forward pass: grad_k[i,·,·]
-    // depends only on x.row(i) and grad_out[i,·,·].
-    let slab_len = n * t_len;
-    let gdata = grad_out.data();
-    let slab = |i: usize, gkslab: &mut [E]| {
-        let xi = x.row(i);
-        let gslab = &gdata[i * slab_len..(i + 1) * slab_len];
-        for j in 0..n {
-            let grow = &gslab[j * t_len..(j + 1) * t_len];
-            let gkrow = &mut gkslab[j * t_len..(j + 1) * t_len];
-            for t in 0..t_len {
-                let g = grow[t] / E::from_f64((t + 1) as f64);
-                if g == E::ZERO {
-                    continue;
-                }
-                // Taps u = T−1−t .. T−1 receive g · x[0..=t]: a contiguous
-                // axpy panel.
-                let panel = &mut gkrow[t_len - 1 - t..];
-                for (gk, &xv) in panel.iter_mut().zip(&xi[..=t]) {
-                    *gk += g * xv;
-                }
-            }
-        }
-    };
-    if !cf_par::should_fan_out((n * n * t_len * t_len) as u64, PAR_ELEM_THRESHOLD as u64) {
-        for i in 0..n {
-            let gkslab = &mut grad_k.data_mut()[i * slab_len..(i + 1) * slab_len];
-            slab(i, gkslab);
-        }
-    } else {
-        cf_par::par_chunks_mut(grad_k.data_mut(), slab_len, slab);
-    }
+    // grad_k[i,j,u] = Σ_t g'[i,j,t]·x[i, t+u−(T−1)] in ascending t, with
+    // g' = grad_out/(t+1) and zero-skip on g'.
+    slab_contractions::<E, true>(grad_out.data(), x, grad_k.data_mut());
 }
 
 /// Gradient of [`causal_conv`] with respect to the input window.
@@ -305,8 +317,14 @@ pub fn attn_apply_backward_attn_into<E: Scalar>(
     for i in 0..n {
         let grow = &gdata[i * t_len..(i + 1) * t_len];
         for j in 0..n {
+            // One ascending dot chain per cell: the chains are short and
+            // independent, so out-of-order execution overlaps them; running
+            // four or eight `v` rows side by side measured no faster.
             let vrow = &vdata[(j * n + i) * t_len..(j * n + i + 1) * t_len];
-            ga[i * n + j] = E::dot_from(E::ZERO, vrow, grow);
+            ga[i * n + j] = vrow
+                .iter()
+                .zip(grow)
+                .fold(E::ZERO, |acc, (&vv, &gv)| acc + vv * gv);
         }
     }
 }

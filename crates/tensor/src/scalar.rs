@@ -8,21 +8,14 @@
 //! closed set). Public type aliases (`Tensor = TensorBase<f64>`, …) keep the
 //! historical f64 API unchanged.
 //!
-//! Two policies live here rather than in the kernels:
-//!
-//! * **Accumulation-order policy** ([`Scalar::dot_from`]): contiguous dot
-//!   products are the inner loop of `matmul_nt` and the causal convolution.
-//!   The `f64` implementation accumulates strictly in ascending index order
-//!   — that ordering is part of the crate's bitwise-reproducibility contract
-//!   (pool on/off, any thread count, and across refactors). The `f32`
-//!   implementation has no such contract (f32 results are pinned by
-//!   tolerance tests instead) and uses eight independent accumulator lanes,
-//!   which LLVM maps onto SIMD registers and which doubles throughput again
-//!   on top of the 2× vector-width win of f32 itself.
-//! * **Storage policy**: Rust thread-locals cannot be generic, so each
-//!   dtype owns its statics (buffer-pool free lists, tape pool, gradient
-//!   scratch) and exposes them through the `#[doc(hidden)]` hooks below.
-//!   The pool and tape code is written once, generically, against the hooks.
+//! The trait carries no accumulation policy: every kernel sums each output
+//! cell in one ascending order at both element types (see
+//! the `gemm` module), so f32 and f64 differ only in rounding. What does
+//! live here is the **storage policy**: Rust thread-locals cannot be
+//! generic, so each dtype owns its statics (buffer-pool free lists, tape
+//! pool, gradient scratch) and exposes them through the `#[doc(hidden)]`
+//! hooks below. The pool and tape code is written once, generically,
+//! against the hooks.
 
 use std::cell::RefCell;
 use std::sync::{Mutex, OnceLock};
@@ -155,15 +148,6 @@ pub trait Scalar:
     /// `true` iff neither NaN nor ±∞.
     fn is_finite(self) -> bool;
 
-    /// `acc + Σ a[i]·b[i]` over `min(a.len(), b.len())` terms — the shared
-    /// inner microkernel of `matmul_nt` and the causal convolution.
-    ///
-    /// Accumulation order is a per-dtype policy, not an implementation
-    /// detail: `f64` adds terms one at a time in ascending index order
-    /// starting from `acc` (bitwise-pinned), `f32` uses a multi-lane
-    /// register tile (tolerance-pinned). See the module docs.
-    fn dot_from(acc: Self, a: &[Self], b: &[Self]) -> Self;
-
     #[doc(hidden)]
     fn with_pool<R>(f: impl FnOnce(&ThreadPool<Self>) -> R) -> R;
     #[doc(hidden)]
@@ -240,19 +224,6 @@ impl Scalar for f64 {
         f64::is_finite(self)
     }
 
-    #[inline]
-    fn dot_from(mut acc: Self, a: &[Self], b: &[Self]) -> Self {
-        // Strictly sequential ascending-index accumulation: every f64 kernel
-        // result is bitwise-pinned against the serial reference, so the
-        // order here must never change (a multi-lane reduction would
-        // re-associate the sum).
-        let n = a.len().min(b.len());
-        for (&x, &y) in a[..n].iter().zip(&b[..n]) {
-            acc += x * y;
-        }
-        acc
-    }
-
     fn with_pool<R>(f: impl FnOnce(&ThreadPool<Self>) -> R) -> R {
         POOL_F64.with(f)
     }
@@ -317,32 +288,6 @@ impl Scalar for f32 {
         f32::is_finite(self)
     }
 
-    #[inline]
-    fn dot_from(acc: Self, a: &[Self], b: &[Self]) -> Self {
-        // Eight independent accumulator lanes: the fixed-size `lanes` array
-        // lives in SIMD registers after vectorisation, and the per-lane
-        // dependency chains are 8× shorter than a sequential fold, so the
-        // FMA pipeline stays full. Slicing to `n` up front moves every
-        // bounds check out of the inner loop.
-        const LANES: usize = 8;
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let mut lanes = [0.0f32; LANES];
-        let chunks = n / LANES;
-        for (ao, bo) in a.chunks_exact(LANES).zip(b.chunks_exact(LANES)) {
-            for l in 0..LANES {
-                lanes[l] += ao[l] * bo[l];
-            }
-        }
-        let mut tail = 0.0f32;
-        for (&x, &y) in a[chunks * LANES..].iter().zip(&b[chunks * LANES..]) {
-            tail += x * y;
-        }
-        let head = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
-        let rest = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
-        acc + (head + rest) + tail
-    }
-
     fn with_pool<R>(f: impl FnOnce(&ThreadPool<Self>) -> R) -> R {
         POOL_F32.with(f)
     }
@@ -371,39 +316,5 @@ mod tests {
         assert_eq!(Dtype::F64.size_of(), 8);
         assert_eq!(Dtype::F32.size_of(), 4);
         assert_eq!(Dtype::default(), Dtype::F64);
-    }
-
-    #[test]
-    fn f64_dot_is_sequential_order() {
-        // The f64 policy must match a plain ascending fold bit-for-bit.
-        let a: Vec<f64> = (0..37).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b: Vec<f64> = (0..37).map(|i| (i as f64 * 0.61).cos()).collect();
-        let mut want = 0.125f64;
-        for i in 0..37 {
-            want += a[i] * b[i];
-        }
-        let got = f64::dot_from(0.125, &a, &b);
-        assert_eq!(got.to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn f32_dot_matches_f64_reference_within_tolerance() {
-        let a: Vec<f32> = (0..103).map(|i| (i as f32 * 0.17).sin()).collect();
-        let b: Vec<f32> = (0..103).map(|i| (i as f32 * 0.29).cos()).collect();
-        let want: f64 = a
-            .iter()
-            .zip(&b)
-            .map(|(&x, &y)| x as f64 * y as f64)
-            .sum::<f64>()
-            + 0.5;
-        let got = f32::dot_from(0.5, &a, &b) as f64;
-        assert!((got - want).abs() < 1e-3, "got {got}, want {want}");
-    }
-
-    #[test]
-    fn dot_handles_short_and_empty_slices() {
-        assert_eq!(f32::dot_from(1.0, &[], &[]), 1.0);
-        assert_eq!(f32::dot_from(0.0, &[2.0, 3.0], &[4.0, 5.0]), 23.0);
-        assert_eq!(f64::dot_from(1.5, &[], &[]), 1.5);
     }
 }

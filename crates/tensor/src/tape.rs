@@ -849,10 +849,12 @@ impl<E: Scalar> TapeBase<E> {
                     for i in 0..r {
                         let srow = s.row(i);
                         let grow = g.row(i);
-                        // Sequential ascending accumulation from zero: the
-                        // f64 dot_from policy, bitwise equal to the previous
-                        // `iter().zip().map().sum()` fold.
-                        let dot = E::dot_from(E::ZERO, srow, grow);
+                        // Sequential ascending accumulation from zero:
+                        // the per-cell order of the bitwise contract.
+                        let dot = srow
+                            .iter()
+                            .zip(grow)
+                            .fold(E::ZERO, |acc, (&sv, &gv)| acc + sv * gv);
                         let orow = &mut od[i * c..(i + 1) * c];
                         for j in 0..c {
                             orow[j] = (grow[j] - dot) * srow[j];

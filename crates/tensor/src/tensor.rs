@@ -8,6 +8,7 @@
 //! `E = f64` the conversion is the identity, and for `E = f32` it gives
 //! reductions f64 accumulation for free (the tolerance tests rely on it).
 
+use crate::gemm::{self, Operands, NR};
 use crate::scalar::Scalar;
 use crate::{pool, TensorError};
 
@@ -162,8 +163,8 @@ impl<E: Scalar> std::fmt::Debug for Buf<E> {
 /// [`Scalar`] trait). The CausalFormer workloads are small (tens of series,
 /// tens of time slots) and dominated by clarity-sensitive numeric code, so
 /// a copying design is the right trade-off; hot inner loops (matmul,
-/// convolution) operate on contiguous slices through fixed-shape
-/// microkernels the compiler vectorises. Element storage is drawn from (and
+/// convolution) run on one register-tiled contraction kernel
+/// (the `gemm` module). Element storage is drawn from (and
 /// returned to) the size-class buffer pool in [`crate::pool`], so the
 /// copies stop costing allocations once the pool is warm.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,22 +175,6 @@ pub struct TensorBase<E: Scalar = f64> {
 
 /// The crate's historical dense `f64` tensor — an alias of [`TensorBase`].
 pub type Tensor = TensorBase<f64>;
-
-/// FLOP count (2·m·k·n for a matmul) below which the linear-algebra kernels
-/// stay serial: a pool dispatch costs on the order of a microsecond, which
-/// only pays for itself once the kernel does roughly this much arithmetic.
-/// The comparison goes through [`cf_par::should_fan_out`], which raises the
-/// bar by `NESTED_FANOUT_FACTOR` when the kernel already runs inside a
-/// scheduler task (coarse-grained parallelism has first claim on workers).
-pub(crate) const PAR_FLOP_THRESHOLD: usize = 262_144;
-
-/// Output rows per parallel chunk, targeting ~32 KFLOPs of work per chunk so
-/// dispatch overhead stays small while chunks outnumber any plausible pool.
-/// Depends only on the problem size — never on thread count — which keeps
-/// chunk boundaries (and thus scheduling-independent results) deterministic.
-pub(crate) fn rows_per_block(m: usize, flops_per_row: usize) -> usize {
-    (32_768 / flops_per_row.max(1)).clamp(1, m)
-}
 
 impl<E: Scalar> TensorBase<E> {
     // ---------------------------------------------------------------------
@@ -686,10 +671,10 @@ impl<E: Scalar> TensorBase<E> {
 
     /// Matrix product of two 2-d tensors: `(m×k)·(k×n) → m×n`.
     ///
-    /// Row-parallel above [`PAR_FLOP_THRESHOLD`]: each worker owns a
-    /// disjoint band of output rows, and every output cell is computed
-    /// entirely within one band, so the result is bitwise identical to the
-    /// serial kernel at any thread count.
+    /// All three products run on the one register-tiled contraction kernel
+    /// in the `gemm` module: per cell, terms add in ascending `p` order, so
+    /// the result is bitwise identical at any thread count and on any
+    /// instruction set.
     pub fn matmul(&self, other: &Self) -> Self {
         let (m, _, n) = self.matmul_dims(other);
         let mut out = Self::zeros(&[m, n]);
@@ -701,41 +686,25 @@ impl<E: Scalar> TensorBase<E> {
     /// freshly zeroed pooled buffer makes this the allocation-free form the
     /// backward pass uses; the accumulation order per cell is identical to
     /// [`TensorBase::matmul`], so results are bitwise equal.
+    ///
+    /// Zero-skip: a term whose `self` entry is zero is not added. The
+    /// group-lasso penalty and proximal shrinkage drive many weights
+    /// *exactly* to 0, and causal masks zero whole bands; for finite
+    /// operands skipping never changes the result.
     pub fn matmul_into(&self, other: &Self, out: &mut Self) {
         let (m, k, n) = self.matmul_dims(other);
         assert_eq!(out.shape(), &[m, n], "matmul_into output shape");
-        let a = &self.data;
-        let b = &other.data;
-        // ikj loop order: the inner loop runs over contiguous memory in both
-        // `other` and `out`, which LLVM vectorises (for f32 at twice the
-        // lane count of f64 — half the bandwidth, double the SIMD width).
-        let band = |i0: usize, orows: &mut [E]| {
-            for (di, orow) in orows.chunks_mut(n).enumerate() {
-                let i = i0 + di;
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    // Zero-skip: the group-lasso penalty and proximal
-                    // shrinkage drive many weights *exactly* to 0, and
-                    // causal masks zero whole bands — skipping dodges a full
-                    // length-n fused-multiply-add row per zero. For finite
-                    // operands this never changes the result (adding a ±0.0
-                    // term is the identity under IEEE ==).
-                    if av == E::ZERO {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for j in 0..n {
-                        orow[j] += av * brow[j];
-                    }
-                }
-            }
+        let o = Operands {
+            a: &self.data,
+            rs_a: k,
+            cs_a: 1,
+            b: &other.data,
+            ldb: n,
+            k,
+            n,
+            causal_pad: false,
         };
-        if !cf_par::should_fan_out((2 * m * k * n) as u64, PAR_FLOP_THRESHOLD as u64) {
-            band(0, &mut out.data);
-        } else {
-            let rb = rows_per_block(m, 2 * k * n);
-            cf_par::par_chunks_mut(&mut out.data, rb * n, |ci, chunk| band(ci * rb, chunk));
-        }
+        gemm::gemm::<E, true>(&o, &mut out.data);
     }
 
     fn matmul_dims(&self, other: &Self) -> (usize, usize, usize) {
@@ -747,14 +716,8 @@ impl<E: Scalar> TensorBase<E> {
         (m, k, n)
     }
 
-    /// `self · otherᵀ` for 2-d tensors: `(m×k)·(n×k)ᵀ → m×n`.
-    ///
-    /// Cache-blocked over `j`/`p` (the attention-score kernel hits this with
-    /// large `k = N·T` rows, where plain `ijp` order streams the whole of
-    /// `other` through cache once per output row) and row-parallel above
-    /// [`PAR_FLOP_THRESHOLD`]. Per `(i,j)` cell the `p`-panel contributions
-    /// accumulate through [`Scalar::dot_from`] — ascending sequential order
-    /// for f64 (bitwise-pinned), an 8-lane register tile for f32.
+    /// `self · otherᵀ` for 2-d tensors: `(m×k)·(n×k)ᵀ → m×n`, with no
+    /// zero-skip (every term is added, as in a plain dot product).
     pub fn matmul_nt(&self, other: &Self) -> Self {
         assert_eq!(self.rank(), 2, "matmul_nt lhs must be 2-d");
         assert_eq!(other.rank(), 2, "matmul_nt rhs must be 2-d");
@@ -765,6 +728,8 @@ impl<E: Scalar> TensorBase<E> {
     }
 
     /// Accumulates `self · otherᵀ` into `out`; see [`TensorBase::matmul_nt`].
+    /// `other` is first transposed into a pooled `k×n` scratch whose rows
+    /// are padded to whole register tiles.
     pub fn matmul_nt_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(self.rank(), 2, "matmul_nt lhs must be 2-d");
         assert_eq!(other.rank(), 2, "matmul_nt rhs must be 2-d");
@@ -772,44 +737,28 @@ impl<E: Scalar> TensorBase<E> {
         let (n, k2) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_nt inner dims: {k} vs {k2}");
         assert_eq!(out.shape(), &[m, n], "matmul_nt_into output shape");
-        // Block sizes: JB rows of `other` (JB·PB elements ≈ 128 KiB of f64,
-        // 64 KiB of f32) stay resident while a band of `self` rows streams
-        // against them.
-        const JB: usize = 64;
-        const PB: usize = 256;
-        let a = &self.data;
-        let b = &other.data;
-        let band = |i0: usize, orows: &mut [E]| {
-            let rows = orows.len() / n;
-            for jb in (0..n).step_by(JB) {
-                let jhi = (jb + JB).min(n);
-                for pb in (0..k).step_by(PB) {
-                    let phi = (pb + PB).min(k);
-                    for di in 0..rows {
-                        let arow = &a[(i0 + di) * k + pb..(i0 + di) * k + phi];
-                        let orow = &mut orows[di * n..(di + 1) * n];
-                        for j in jb..jhi {
-                            let brow = &b[j * k + pb..j * k + phi];
-                            orow[j] = E::dot_from(orow[j], arow, brow);
-                        }
-                    }
-                }
+        let ldb = n.next_multiple_of(NR);
+        let mut bt = Self::zeros(&[k, ldb]);
+        for (j, brow) in other.data.chunks_exact(k).enumerate() {
+            for (p, &v) in brow.iter().enumerate() {
+                bt.data[p * ldb + j] = v;
             }
-        };
-        if !cf_par::should_fan_out((2 * m * k * n) as u64, PAR_FLOP_THRESHOLD as u64) {
-            band(0, &mut out.data);
-        } else {
-            let rb = rows_per_block(m, 2 * k * n);
-            cf_par::par_chunks_mut(&mut out.data, rb * n, |ci, chunk| band(ci * rb, chunk));
         }
+        let o = Operands {
+            a: &self.data,
+            rs_a: k,
+            cs_a: 1,
+            b: &bt.data,
+            ldb,
+            k,
+            n,
+            causal_pad: false,
+        };
+        gemm::gemm::<E, false>(&o, &mut out.data);
     }
 
-    /// `selfᵀ · other` for 2-d tensors: `(k×m)ᵀ·(k×n) → m×n`.
-    ///
-    /// Output-row-parallel above [`PAR_FLOP_THRESHOLD`]; per cell the `p`
-    /// terms accumulate in ascending order with the same zero-skip as the
-    /// serial kernel (see [`TensorBase::matmul`] for why the skip is free),
-    /// so results are bitwise identical at any thread count.
+    /// `selfᵀ · other` for 2-d tensors: `(k×m)ᵀ·(k×n) → m×n`, with the
+    /// same zero-skip on `self` as [`TensorBase::matmul_into`].
     pub fn matmul_tn(&self, other: &Self) -> Self {
         assert_eq!(self.rank(), 2, "matmul_tn lhs must be 2-d");
         assert_eq!(other.rank(), 2, "matmul_tn rhs must be 2-d");
@@ -827,29 +776,17 @@ impl<E: Scalar> TensorBase<E> {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_tn inner dims: {k} vs {k2}");
         assert_eq!(out.shape(), &[m, n], "matmul_tn_into output shape");
-        let a = &self.data;
-        let b = &other.data;
-        let band = |i0: usize, orows: &mut [E]| {
-            for (di, orow) in orows.chunks_mut(n).enumerate() {
-                let i = i0 + di;
-                for p in 0..k {
-                    let av = a[p * m + i];
-                    if av == E::ZERO {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    for j in 0..n {
-                        orow[j] += av * brow[j];
-                    }
-                }
-            }
+        let o = Operands {
+            a: &self.data,
+            rs_a: 1,
+            cs_a: m,
+            b: &other.data,
+            ldb: n,
+            k,
+            n,
+            causal_pad: false,
         };
-        if !cf_par::should_fan_out((2 * m * k * n) as u64, PAR_FLOP_THRESHOLD as u64) {
-            band(0, &mut out.data);
-        } else {
-            let rb = rows_per_block(m, 2 * k * n);
-            cf_par::par_chunks_mut(&mut out.data, rb * n, |ci, chunk| band(ci * rb, chunk));
-        }
+        gemm::gemm::<E, true>(&o, &mut out.data);
     }
 
     /// Adds a length-`c` row vector to every row of an `r×c` matrix.
@@ -1086,8 +1023,8 @@ mod tests {
 
     #[test]
     fn f32_matmul_family_matches_f64_within_tolerance() {
-        // The f32 kernels re-associate sums (8-lane dot); pin them against
-        // the f64 kernels on the same values instead of bitwise.
+        // f32 rounds every term in single precision; pin the f32 kernels
+        // against the f64 kernels on the same values instead of bitwise.
         let n = 37; // not a multiple of the lane count
         let vals: Vec<f64> = (0..n * n)
             .map(|i| ((i * 37 % 101) as f64 - 50.0) / 25.0)

@@ -27,12 +27,16 @@ CF_THREADS=4 cargo test -q --workspace
 # to the in-RAM path (also when a widened stride skips chunks), and a
 # corrupted chunk must fail loudly naming its file. Run at 1, 2, and 4
 # worker threads: recovery and store/RAM equivalence must be exact on any
-# machine.
+# machine. The contraction-kernel gates ride along: the tiled kernels fan
+# out by row band, and the workspace suite only runs at 1 and 4 threads.
 for threads in 1 2 4; do
   echo "== resume determinism + fault drills + store pipeline (CF_THREADS=$threads)"
   CF_THREADS=$threads cargo test -q -p causalformer \
     --test resume_determinism --test fault_injection --test store_pipeline \
     --test store_widened_stride
+  echo "== contraction kernels vs naive reference + thread invariance (CF_THREADS=$threads)"
+  CF_THREADS=$threads cargo test -q -p cf-tensor \
+    --test microkernel_reference --test parallel_equivalence
 done
 
 # Dtype gate: the f64 pipeline must reproduce the pre-generic-backend
